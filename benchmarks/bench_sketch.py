@@ -1,27 +1,22 @@
-"""E17 / sketch-accelerated membership: Bloom-fronted dispatch + bounded dedup.
+"""E17 / bounded dedup memory: exact store with horizon + budget eviction.
 
 A high-cardinality flood -- every record carrying a brand-new edge label --
-is the dispatch index's worst case: each record misses the entry dict only
-after both endpoint vertices have been resolved.  The counting-Bloom front
-answers the same misses from two CRC probes before any graph access, and
-the cuckoo-fronted :class:`~repro.sketch.dedup.DedupMemory` caps the
-duplicate-suppression store that would otherwise grow without bound under
-the same adversary.
+runs through two engines, one with the default unbounded dedup memory and
+one with ``dedup_memory_budget`` armed; a second phase pushes ``>= 1M *
+scale`` distinct keys through a bare :class:`~repro.sketch.dedup.DedupMemory`
+behind a retention horizon.
 
 Assertions (all deterministic, so they run at every scale including the CI
 smoke):
 
-* **exactness** -- the sketch-on run emits byte-for-byte the exact
-  dispatch baseline's events: sketches change cost, never answers;
-* **liveness** -- the front rejected exactly the flood's unique labels, so
-  the throughput claim is about real rejections, not an idle filter;
-* **bounded memory** -- the dedup store's *measured* high-water mark stays
-  within budget while ``>= 1M * scale`` distinct keys stream through a
-  retention horizon with in-horizon suppression recall intact.
+* **exactness** -- the bounded run emits byte-for-byte the unbounded run's
+  events;
+* **bounded memory** -- the engine's dedup store and the bare store both
+  keep their *measured* high-water mark within budget, with in-horizon
+  suppression recall intact.
 
-Wall-clock speedup of the negative-lookup path is reported for context and
-written with the rest of the result to ``BENCH_sketch.json`` at the
-repository root for later diffing.
+The result is written to ``BENCH_sketch.json`` at the repository root for
+later diffing.
 
 Runnable standalone (CI smoke)::
 
@@ -40,13 +35,10 @@ OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_sketch.json"
 def check_result(result):
     """Shared assertions for the pytest and CLI entry points."""
     assert result["events_identical"], (
-        "sketch-fronted dispatch changed the emitted events -- the "
-        "sketch-exactness contract is broken"
+        "the dedup budget changed the emitted events -- bounded suppression "
+        "is no longer exact"
     )
     assert result["events"] > 0, "flood carried no detectable signal (vacuous run)"
-    assert result["front_rejections"] == result["flood_records"], (
-        "the Bloom front did not answer every unique-label flood record"
-    )
     assert result["dedup_peak_entries"] <= result["dedup_budget"]
     assert result["memory_bound_held"], (
         f"dedup store peaked at {result['memory_peak_entries']} entries "
@@ -60,7 +52,7 @@ def check_result(result):
 def test_sketch_membership(run_experiment):
     result = run_experiment(
         experiment_sketch_membership,
-        "E17 -- sketch-accelerated membership (Bloom front + bounded dedup)",
+        "E17 -- bounded dedup memory",
     )
     check_result(result)
 
@@ -80,18 +72,13 @@ if __name__ == "__main__":
 
     scale = 0.1 if args.tiny else args.scale
     result = experiment_sketch_membership(scale=scale)
-    print(
-        format_report(
-            "E17 -- sketch-accelerated membership (Bloom front + bounded dedup)", result
-        )
-    )
+    print(format_report("E17 -- bounded dedup memory", result))
     check_result(result)
     OUTPUT.write_text(json.dumps(result, indent=2, sort_keys=True) + "\n")
     print(
-        f"exactness OK ({result['events']} events identical); front rejected "
-        f"{result['front_rejections']} flood records (negative-lookup speedup "
-        f"x{result['negative_lookup_speedup']:.2f}, end-to-end "
-        f"x{result['dispatch_speedup']:.2f}); dedup peaked at "
+        f"exactness OK ({result['events']} events identical); engine dedup peaked "
+        f"at {result['dedup_peak_entries']}/{result['dedup_budget']} entries; "
+        f"bare store peaked at "
         f"{result['memory_peak_entries']}/{result['memory_budget']} entries over "
         f"{result['memory_keys']} distinct keys; wrote {OUTPUT.name}"
     )

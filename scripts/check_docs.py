@@ -120,12 +120,7 @@ def check_metrics_coverage(errors: list) -> None:
     record = StreamEdge("1", "2", "x", 1.0, source_label="Host", target_label="Host")
 
     single = StreamWorksEngine(
-        config=EngineConfig(
-            allowed_lateness=1.0,
-            sketch_dispatch=True,
-            dedup_memory_budget=16,
-            sketch_stats=True,
-        )
+        config=EngineConfig(allowed_lateness=1.0, dedup_memory_budget=16)
     )
     single.register_query(tiny_query(), window=5.0)
     single.process_batch([record])
@@ -143,12 +138,8 @@ def check_metrics_coverage(errors: list) -> None:
         "sharded metrics": sharded.metrics(),
         "async front-end stats": frontend.stats(),
         # the sketch surface is nested one level; flatten so every leaf
-        # counter (and the sub-surface names themselves) is enforced
-        "sketch stats": {
-            **sketch,
-            **sketch["dispatch_front"],
-            **sketch["dedup_memory"],
-        },
+        # counter (and the sub-surface name itself) is enforced
+        "sketch stats": {**sketch, **sketch["dedup_memory"]},
         # flat already, but enforced as its own surface so a new columnar
         # counter cannot ship undocumented
         "columnar stats": single.metrics()["columnar"],

@@ -38,7 +38,6 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..query.query_graph import QueryGraph
-from ..sketch import CountingBloomFilter
 
 __all__ = ["LeafDispatchEntry", "DispatchIndex"]
 
@@ -143,38 +142,16 @@ class DispatchIndex:
     Counters (``lookups``, ``entries_matched``, ``entries_skipped``) expose
     how much work the index saved; the engine surfaces them in
     :meth:`~repro.core.engine.StreamWorksEngine.metrics`.
-
-    With ``sketch=True`` a counting Bloom front guards the negative path:
-    :meth:`front_rejects` answers "this label binds nothing" from a few
-    cache-resident counter cells *before* the caller resolves endpoint
-    vertex labels or probes the dict, which is where the high-cardinality
-    negative-lookup win comes from.  The front is exact-by-construction in
-    the reject direction (a label is only rejected when its counting cells
-    are empty, and every registered entry-label pair increments its cells),
-    so sketch-on routing returns byte-identical candidates.  Unregistration
-    decrements the same cells; skipping a decrement leaves stale cells that
-    show up as ``front_false_positives`` instead of ``front_rejections``.
     """
 
-    def __init__(
-        self,
-        sketch: bool = False,
-        sketch_bits: int = 2048,
-        sketch_seed: int = 47,
-    ) -> None:
+    def __init__(self) -> None:
         self._by_label: Dict[str, List[LeafDispatchEntry]] = {}
         self._wildcard: List[LeafDispatchEntry] = []
         self._by_owner: Dict[str, List[LeafDispatchEntry]] = {}
         self._registration_seq = 0
-        self._front: Optional[CountingBloomFilter] = (
-            CountingBloomFilter(bits=sketch_bits, seed=sketch_seed) if sketch else None
-        )
         self.lookups = 0
         self.entries_matched = 0
         self.entries_skipped = 0
-        self.front_probes = 0
-        self.front_rejections = 0
-        self.front_false_positives = 0
 
     # ------------------------------------------------------------------
     # registration
@@ -196,17 +173,11 @@ class DispatchIndex:
             seq = self._registration_seq
             self._registration_seq += 1
         entries: List[LeafDispatchEntry] = []
-        front = self._front
         for index, leaf in enumerate(leaves):
             entry = LeafDispatchEntry(owner, leaf.id, (seq, index), leaf.subgraph)
             entries.append(entry)
             for label in entry.labels:
                 self._by_label.setdefault(label, []).append(entry)
-                if front is not None:
-                    # one counting-cell increment per (entry, label) pair,
-                    # mirroring the _by_label appends so unregister's
-                    # decrements restore the cells exactly
-                    front.add(label.encode("utf-8"))
             if entry.has_wildcard:
                 self._wildcard.append(entry)
         self._by_owner[owner] = entries
@@ -216,13 +187,6 @@ class DispatchIndex:
         entries = self._by_owner.pop(owner, None)
         if not entries:
             return
-        front = self._front
-        if front is not None:
-            # symmetric counting-cell decrements: one per (entry, label)
-            # pair added at registration time
-            for entry in entries:
-                for label in entry.labels:
-                    front.remove(label.encode("utf-8"))
         dropped = set(id(entry) for entry in entries)
         # insertion-ordered dedupe: bucket rewrites below mutate _by_label,
         # whose key order is observable (stats, wildcard rebuilds), so the
@@ -248,30 +212,19 @@ class DispatchIndex:
     # hot-path lookup
     # ------------------------------------------------------------------
     def front_rejects(self, edge_label: str) -> bool:
-        """Return ``True`` when the sketch front proves ``edge_label`` binds nothing.
+        """Return ``True`` when no registered leaf can bind ``edge_label``.
 
         Called by the engine *before* it resolves the edge's endpoint vertex
-        labels: a front rejection skips both graph probes and the full
-        :meth:`candidates` call.  Rejection is only claimed when the label's
-        counting cells are empty -- impossible for any registered label -- so
-        the short-circuit is exact.  Wildcard entries disable the front
-        (every label can bind), and a rejected probe still counts as a
-        ``lookups`` tick so sketch-on and sketch-off counter streams agree.
+        labels: a rejection skips both graph probes and the full
+        :meth:`candidates` call.  Wildcard entries bind every label, so they
+        disable the rejection.  A rejected probe counts as one ``lookups``
+        tick, exactly what the :meth:`candidates` call it replaces would
+        have counted.
         """
-        front = self._front
-        if front is None or self._wildcard:
+        if self._wildcard or edge_label in self._by_label:
             return False
-        self.front_probes += 1
-        if front.might_contain(edge_label.encode("utf-8")):
-            return False
-        self.front_rejections += 1
         self.lookups += 1
         return True
-
-    @property
-    def sketch_enabled(self) -> bool:
-        """``True`` when the counting Bloom front is active."""
-        return self._front is not None
 
     def candidates(
         self,
@@ -288,10 +241,6 @@ class DispatchIndex:
         self.lookups += 1
         labelled = self._by_label.get(edge_label)
         if not labelled and not self._wildcard:
-            if self._front is not None:
-                # the front said "maybe" (otherwise front_rejects would have
-                # short-circuited this call) but the exact table disagrees
-                self.front_false_positives += 1
             return []
         matched: List[LeafDispatchEntry] = []
         if self._wildcard:
@@ -334,9 +283,6 @@ class DispatchIndex:
             "lookups": self.lookups,
             "entries_matched": self.entries_matched,
             "entries_skipped": self.entries_skipped,
-            "front_probes": self.front_probes,
-            "front_rejections": self.front_rejections,
-            "front_false_positives": self.front_false_positives,
         }
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

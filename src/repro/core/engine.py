@@ -185,9 +185,7 @@ class EngineConfig:
         checkpoint_path: Optional[str] = None,
         replan_threshold: Optional[float] = None,
         replan_check_every: Optional[int] = None,
-        sketch_dispatch: bool = False,
         dedup_memory_budget: Optional[int] = None,
-        sketch_stats: bool = False,
         columnar: bool = True,
     ):
         self.default_window = self.validate_default_window(default_window)
@@ -319,19 +317,6 @@ class EngineConfig:
             if replan_check_every <= 0:
                 raise ValueError("replan_check_every must be a positive edge count or None")
         self.replan_check_every = replan_check_every
-        #: Front the dispatch index with a counting Bloom filter so edges
-        #: whose label binds no registered leaf are rejected before endpoint
-        #: vertex labels are resolved or the routing dict is probed.  The
-        #: front is exact in the reject direction, so routing -- and
-        #: therefore every event -- is byte-identical with the flag on or
-        #: off (``tests/test_sketch.py`` differential suite).  Requires
-        #: ``use_dispatch_index``.
-        self.sketch_dispatch = bool(sketch_dispatch)
-        if self.sketch_dispatch and not use_dispatch_index:
-            raise ValueError(
-                "sketch_dispatch requires use_dispatch_index=True: the Bloom "
-                "front guards the dispatch index's negative-lookup path"
-            )
         #: Bound each matcher's duplicate-suppression stores to this many
         #: entries (``None`` = unbounded, the historical behaviour).  Entries
         #: expire against the graph retention window regardless; the budget
@@ -346,18 +331,6 @@ class EngineConfig:
                     "dedup_memory_budget must be a positive entry count or None"
                 )
         self.dedup_memory_budget = dedup_memory_budget
-        #: Back the stream summarizer's label/signature counters with
-        #: count-min sketches (bounded memory at high label cardinality)
-        #: instead of exact dicts.  Counts become one-sided estimates, which
-        #: can only shift *plan choice* -- the emitted event stream is
-        #: plan-independent, so conformance is unaffected.  Requires
-        #: ``collect_statistics``.
-        self.sketch_stats = bool(sketch_stats)
-        if self.sketch_stats and not collect_statistics:
-            raise ValueError(
-                "sketch_stats requires collect_statistics=True: there is no "
-                "summarizer to back with sketches otherwise"
-            )
         #: Compiled, columnar ingest hot path.  Labels are interned to dense
         #: ints at the stream boundary, each batch run is decomposed into
         #: struct-of-arrays columns whose label-id column drives a vectorized
@@ -487,10 +460,9 @@ class StreamWorksEngine:
             self.summarizer = StreamSummarizer(
                 track_triads=config.track_triads,
                 triad_sample_cap=config.triad_sample_cap,
-                sketch_stats=config.sketch_stats,
             )
         self.queries: Dict[str, RegisteredQuery] = {}
-        self.dispatch = DispatchIndex(sketch=config.sketch_dispatch)
+        self.dispatch = DispatchIndex()
         #: Stream-boundary intern table: vertex/edge labels and predicate
         #: attribute names to dense ints.  Query vocabulary is interned at
         #: registration (deterministic: label order within the query, then
@@ -954,8 +926,8 @@ class StreamWorksEngine:
         """
         if self.config.use_dispatch_index:
             if self.dispatch.front_rejects(edge.label):
-                # sketch front proved no registered leaf can bind this label;
-                # skip endpoint-label resolution and the dict probe entirely
+                # no registered leaf can bind this label; skip endpoint-label
+                # resolution and the candidate scan entirely
                 return
             source_label = (
                 self.graph.vertex(edge.source).label if self.graph.has_vertex(edge.source) else None
@@ -1382,11 +1354,12 @@ class StreamWorksEngine:
             # everything they cache is constant between run boundaries:
             # registrations and replans happen only between runs, matching
             # never mutates the graph, and dead-on-arrival evictions all
-            # precede the match loop.  Each entry carries the
-            # dispatch-counter deltas of the probe it replaces and a hit
-            # replays them, so ``metrics()["dispatch"]`` stays byte-identical
-            # to the interpreted path.
-            front_memo: Dict[int, tuple] = {}
+            # precede the match loop.  A hit replays the dispatch counters of
+            # the probe it replaces (a route entry carries its deltas; a
+            # memoised reject is one ``lookups`` tick), so
+            # ``metrics()["dispatch"]`` stays byte-identical to the
+            # interpreted path.
+            front_memo: Dict[int, bool] = {}
             route_memo: Dict[tuple, tuple] = {}
             vertex_memo: Dict[Optional[VertexId], tuple] = {}
         for index, edge in enumerate(ingested):
@@ -1397,25 +1370,15 @@ class StreamWorksEngine:
             found: List = []
             if columnar:
                 lid = lid_col[index]
-                fate = front_memo.get(lid)
-                if fate is None:
-                    probes0 = dispatch.front_probes
-                    rejections0 = dispatch.front_rejections
-                    lookups0 = dispatch.lookups
+                rejected = front_memo.get(lid)
+                if rejected is None:
                     rejected = dispatch.front_rejects(edge.label)
-                    fate = (
-                        rejected,
-                        dispatch.front_probes - probes0,
-                        dispatch.front_rejections - rejections0,
-                        dispatch.lookups - lookups0,
-                    )
-                    front_memo[lid] = fate
+                    front_memo[lid] = rejected
                 else:
                     self.dispatch_memo_hits += 1
-                    dispatch.front_probes += fate[1]
-                    dispatch.front_rejections += fate[2]
-                    dispatch.lookups += fate[3]
-                if fate[0]:
+                    if rejected:
+                        dispatch.lookups += 1
+                if rejected:
                     self.records_prefiltered += 1
                 else:
                     src_vertex = src_col[index]
@@ -1450,7 +1413,6 @@ class StreamWorksEngine:
                         lookups0 = dispatch.lookups
                         matched0 = dispatch.entries_matched
                         skipped0 = dispatch.entries_skipped
-                        false0 = dispatch.front_false_positives
                         groups: List = []
                         for owner, leaf_ids in dispatch.candidates(
                             edge.label, source_label, target_label
@@ -1492,7 +1454,6 @@ class StreamWorksEngine:
                             dispatch.lookups - lookups0,
                             dispatch.entries_matched - matched0,
                             dispatch.entries_skipped - skipped0,
-                            dispatch.front_false_positives - false0,
                         )
                         route_memo[route_key] = route
                     else:
@@ -1500,7 +1461,6 @@ class StreamWorksEngine:
                         dispatch.lookups += route[1]
                         dispatch.entries_matched += route[2]
                         dispatch.entries_skipped += route[3]
-                        dispatch.front_false_positives += route[4]
                     route_groups = route[0]
                     if not route_groups:
                         self.records_prefiltered += 1
@@ -1725,20 +1685,18 @@ class StreamWorksEngine:
         }
 
     def _sketch_metrics(self) -> Dict[str, Any]:
-        """Aggregate sketch counters for ``metrics()["sketch"]``.
+        """Aggregate dedup-memory counters for ``metrics()["sketch"]``.
 
-        Always present (zeros when the sketches are off) so dashboards and
-        the sharded parent's rollup see a uniform shape.  Dedup counters sum
-        the identity and structural stores across every registered matcher;
-        the per-store split is diagnostic-only and not surfaced.
+        Always present so dashboards and the sharded parent's rollup see a
+        uniform shape.  Counters sum the identity and structural stores
+        across every registered matcher; the per-store split is
+        diagnostic-only and not surfaced.
         """
         dedup: Dict[str, Any] = {
             "budget": self.config.dedup_memory_budget,
             "entries": 0,
             "peak_entries": 0,
             "probes": 0,
-            "front_negatives": 0,
-            "front_false_positives": 0,
             "confirms": 0,
             "evictions_budget": 0,
             "evictions_horizon": 0,
@@ -1750,16 +1708,7 @@ class StreamWorksEngine:
                     if key == "budget":
                         continue
                     dedup[key] += stats[key]
-        return {
-            "dispatch_front": {
-                "enabled": self.dispatch.sketch_enabled,
-                "probes": self.dispatch.front_probes,
-                "rejections": self.dispatch.front_rejections,
-                "false_positives": self.dispatch.front_false_positives,
-            },
-            "dedup_memory": dedup,
-            "stats_backend": "countmin" if self.config.sketch_stats else "exact",
-        }
+        return {"dedup_memory": dedup}
 
     def describe(self) -> str:
         """Return a human-readable status report of the engine."""

@@ -20,8 +20,8 @@ query window (they can never complete any more), which keeps both memory and
 join fan-out bounded on long streams.
 
 Duplicate-suppression memory ("which matches have we already reported?") is
-held in :class:`~repro.sketch.dedup.DedupMemory` -- a cuckoo-filter front
-over a bounded exact confirm store -- instead of grow-only sets.  Entries
+held in :class:`~repro.sketch.dedup.DedupMemory` -- a bounded exact store
+with deterministic eviction -- instead of grow-only sets.  Entries
 expire against the *graph retention* window (not the query window): the only
 mechanisms that can re-derive an already-reported identity are same-run
 re-discovery and replan migration replay, both of which operate exclusively
@@ -185,8 +185,8 @@ class ContinuousQueryMatcher:
         self.tree.validate()
         self.local_searcher = LocalSearcher(graph, self.window, compiled=self.compiled)
         self.stats = MatcherStats()
-        self._dedup_identities = DedupMemory(budget=dedup_memory_budget, seed=31)
-        self._dedup_edge_sets = DedupMemory(budget=dedup_memory_budget, seed=37)
+        self._dedup_identities = DedupMemory(budget=dedup_memory_budget)
+        self._dedup_edge_sets = DedupMemory(budget=dedup_memory_budget)
 
     # ------------------------------------------------------------------
     # main entry points
@@ -375,8 +375,8 @@ class ContinuousQueryMatcher:
         *not* stored here -- the owning engine persists the plan and rebuilds
         the matcher from it, then calls :meth:`load_state` on the fresh
         instance.  Dedup memory is serialised verbatim (entries in insertion
-        order plus the front's cell layout), so a restored matcher replays
-        future suppression decisions, evictions, and sketch counters
+        order plus counters), so a restored matcher replays future
+        suppression decisions, evictions, and dedup counters
         byte-identically.
         """
         return {

@@ -1311,37 +1311,23 @@ class ShardedStreamEngine:
             "last_errors": last_errors,
             "plan_versions": plan_versions,
         }
-        # sketch rollup: every counter sums cleanly over shards (each shard
-        # owns a private dispatch front and its matchers' dedup memories);
-        # configuration facts come from the shared engine config
-        shard_sketches = [m["sketch"] for m in shard_metrics.values()]
+        # dedup-memory rollup: every counter sums cleanly over shards (each
+        # shard owns its matchers' dedup memories); the budget comes from
+        # the shared engine config
+        shard_dedup = [m["sketch"]["dedup_memory"] for m in shard_metrics.values()]
         dedup_keys = (
             "entries",
             "peak_entries",
             "probes",
-            "front_negatives",
-            "front_false_positives",
             "confirms",
             "evictions_budget",
             "evictions_horizon",
         )
         sketch = {
-            "dispatch_front": {
-                "enabled": self.config.engine.sketch_dispatch,
-                "probes": sum(s["dispatch_front"]["probes"] for s in shard_sketches),
-                "rejections": sum(s["dispatch_front"]["rejections"] for s in shard_sketches),
-                "false_positives": sum(
-                    s["dispatch_front"]["false_positives"] for s in shard_sketches
-                ),
-            },
             "dedup_memory": dict(
                 {"budget": self.config.engine.dedup_memory_budget},
-                **{
-                    key: sum(s["dedup_memory"][key] for s in shard_sketches)
-                    for key in dedup_keys
-                },
+                **{key: sum(d[key] for d in shard_dedup) for key in dedup_keys},
             ),
-            "stats_backend": "countmin" if self.config.engine.sketch_stats else "exact",
         }
         # columnar rollup: the hot-path counters sum cleanly over shards
         # (each shard owns a private intern table and dispatch memos);

@@ -1851,7 +1851,7 @@ def experiment_adaptive_replan(
 
 
 # ----------------------------------------------------------------------
-# E17: sketch-accelerated membership (Bloom-fronted dispatch + bounded dedup)
+# E17: bounded dedup memory (exact store, horizon + budget eviction)
 # ----------------------------------------------------------------------
 def experiment_sketch_membership(
     scale: float = 1.0,
@@ -1861,34 +1861,26 @@ def experiment_sketch_membership(
     dedup_budget: int = 2048,
     window: float = 5.0,
 ) -> Dict[str, object]:
-    """Measure the sketch layer on its design-point workload and pin exactness.
+    """Measure the bounded dedup memory and pin its exactness.
 
-    An adversarial high-cardinality flood (every record a brand-new edge
-    label) is the dispatch index's worst case: each record misses the
-    entry dict only after the engine has resolved both endpoint vertices.
-    The counting-Bloom front answers the same misses from two CRC probes
-    before any graph access.  Two engines see the identical stream with
-    statistics collection off (so the timed loop is the dispatch path):
+    Two engines see the identical high-cardinality flood (every record a
+    brand-new edge label, with a periodic ``signal`` edge the query
+    detects) with statistics collection off:
 
-    * ``sketch_off`` -- the exact dispatch index, the baseline;
-    * ``sketch_on`` -- ``sketch_dispatch`` + ``dedup_memory_budget`` armed.
+    * ``unbounded`` -- the default, ``dedup_memory_budget=None``;
+    * ``bounded`` -- ``dedup_memory_budget=dedup_budget``.
 
     Asserted at every scale (deterministic):
 
     * **exactness** -- both runs emit byte-for-byte identical events;
-    * **liveness** -- the front rejected exactly the flood records (the
-      unique labels), so the throughput claim is about real rejections;
-    * **bounded memory** -- the dedup store's *measured* high-water mark
-      stays within ``dedup_budget`` while a second, pure-DedupMemory phase
-      pushes ``>= 1M * scale`` distinct keys through a retention horizon
-      and checks in-horizon suppression recall stays exact.
-
-    Wall-clock speedup of the negative-lookup path is reported for context
-    (``dispatch_speedup``); it is not asserted (interpreter noise).
+    * **bounded memory** -- the engine's dedup store's *measured*
+      high-water mark stays within ``dedup_budget``, and a second,
+      pure-DedupMemory phase pushes ``>= 1M * scale`` distinct keys
+      through a retention horizon, stays within its budget, and checks
+      in-horizon suppression recall stays exact.
     """
     record_count = max(6_000, int(60_000 * scale))
     records = high_cardinality_flood(record_count, seed=seed, signal_every=signal_every)
-    flood_records = sum(1 for record in records if record.label != "signal")
 
     def signal_query() -> QueryGraph:
         query = QueryGraph("sig")
@@ -1897,7 +1889,7 @@ def experiment_sketch_membership(
         query.add_edge("v0", "v1", "signal")
         return query
 
-    def run(config: EngineConfig) -> Tuple[List[object], float, Dict[str, object], StreamWorksEngine]:
+    def run(config: EngineConfig) -> Tuple[List[object], float, Dict[str, object]]:
         engine = StreamWorksEngine(config=config)
         engine.register_query(signal_query(), name="sig", window=window)
         events: List[object] = []
@@ -1908,55 +1900,15 @@ def experiment_sketch_membership(
             (event.query_name, event.match.portable_identity(), event.sequence)
             for event in events
         ]
-        return canonical, watch.elapsed, engine.metrics(), engine
+        return canonical, watch.elapsed, engine.metrics()
 
-    off_config = EngineConfig(collect_statistics=False)
-    on_config = EngineConfig(
-        collect_statistics=False,
-        sketch_dispatch=True,
-        dedup_memory_budget=dedup_budget,
+    off_events, off_elapsed, _ = run(EngineConfig(collect_statistics=False))
+    on_events, on_elapsed, on_metrics = run(
+        EngineConfig(collect_statistics=False, dedup_memory_budget=dedup_budget)
     )
-    off_events, off_elapsed, _, off_engine = run(off_config)
-    on_events, on_elapsed, on_metrics, on_engine = run(on_config)
-
-    # isolated negative-lookup timing: the exact path pays two endpoint
-    # resolutions plus the candidates() probe for every unbindable label;
-    # the front answers the same question from its counting cells.  Runs
-    # against the post-stream engines (metrics above were already captured).
-    probe_count = max(100_000, int(1_000_000 * scale))
-    probe_labels = [f"miss{index}" for index in range(probe_count)]
-
-    def negative_lookup_elapsed(engine: StreamWorksEngine) -> float:
-        graph, dispatch = engine.graph, engine.dispatch
-        if dispatch.sketch_enabled:
-            with Stopwatch() as watch:
-                for label in probe_labels:
-                    dispatch.front_rejects(label)
-            return watch.elapsed
-        with Stopwatch() as watch:
-            for label in probe_labels:
-                source_label = (
-                    graph.vertex("S0").label if graph.has_vertex("S0") else None
-                )
-                target_label = (
-                    graph.vertex("T0").label if graph.has_vertex("T0") else None
-                )
-                dispatch.candidates(label, source_label, target_label)
-        return watch.elapsed
-
-    exact_lookup_elapsed = negative_lookup_elapsed(off_engine)
-    front_lookup_elapsed = negative_lookup_elapsed(on_engine)
-
-    sketch = on_metrics["sketch"]
-    front = sketch["dispatch_front"]
-    dedup = sketch["dedup_memory"]
-    assert on_events == off_events, (
-        "sketch-fronted run diverged from the exact dispatch baseline"
-    )
+    dedup = on_metrics["sketch"]["dedup_memory"]
+    assert on_events == off_events, "bounded dedup run diverged from the unbounded run"
     assert len(off_events) > 0, "flood carried no detectable signal -- vacuous"
-    assert front["rejections"] == flood_records, (
-        f"front rejected {front['rejections']} of {flood_records} flood records"
-    )
     assert dedup["peak_entries"] <= dedup_budget
 
     # phase 2: bounded dedup memory under >= 1M * scale distinct keys.
@@ -1965,7 +1917,7 @@ def experiment_sketch_membership(
     key_count = max(105_000, int(1_050_000 * scale))
     memory_budget = 20_000
     horizon = TimeWindow(1_000.0)
-    memory = DedupMemory(budget=memory_budget, front_buckets=4096, seed=seed)
+    memory = DedupMemory(budget=memory_budget)
     step = 0.1
     recall_failures = 0
     for index in range(key_count):
@@ -1995,27 +1947,17 @@ def experiment_sketch_membership(
             "records_per_s": round(len(records) / elapsed, 1) if elapsed else 0.0,
         }
         for mode, events, elapsed in (
-            ("sketch_off", off_events, off_elapsed),
-            ("sketch_on", on_events, on_elapsed),
+            ("unbounded", off_events, off_elapsed),
+            ("bounded", on_events, on_elapsed),
         )
     ]
     return {
-        "experiment": "E17_sketch_membership",
+        "experiment": "E17_bounded_dedup",
         "records": record_count,
-        "flood_records": flood_records,
         "events": len(on_events),
         "events_identical": on_events == off_events,
-        "front_rejections": front["rejections"],
-        "front_false_positives": front["false_positives"],
         "dedup_budget": dedup_budget,
         "dedup_peak_entries": dedup["peak_entries"],
-        "dispatch_speedup": round(off_elapsed / on_elapsed, 4) if on_elapsed else 1.0,
-        "negative_lookups": probe_count,
-        "negative_lookup_speedup": (
-            round(exact_lookup_elapsed / front_lookup_elapsed, 4)
-            if front_lookup_elapsed
-            else 1.0
-        ),
         "memory_keys": key_count,
         "memory_budget": memory_budget,
         "memory_peak_entries": memory_stats["peak_entries"],

@@ -105,9 +105,7 @@ _CONFIG_FIELDS = (
     "idle_source_timeout",
     "checkpoint_every",
     "checkpoint_path",
-    "sketch_dispatch",
     "dedup_memory_budget",
-    "sketch_stats",
     "columnar",
 )
 
@@ -119,8 +117,24 @@ def _config_state(config: EngineConfig) -> Dict[str, Any]:
     return {name: getattr(config, name) for name in _CONFIG_FIELDS}
 
 
+def _reject_sketch_stats(state: Mapping[str, Any], where: str) -> None:
+    # A count-min statistics backend cannot be rebuilt from an exact one, and
+    # the planner state it fed would not replay, so refuse instead of guessing.
+    if state.get("sketch_stats"):
+        raise SnapshotError(
+            f"snapshot {where} enables the removed option sketch_stats "
+            f"(count-min statistics); this version keeps exact statistics only"
+        )
+
+
 def _config_from_state(state: Mapping[str, Any]) -> EngineConfig:
-    return EngineConfig(**dict(state))
+    fields = dict(state)
+    # Older snapshots persist the two removed sketch options.  A set
+    # sketch_dispatch never changed routing, so it is dropped like an unset one.
+    _reject_sketch_stats(fields, "config")
+    fields.pop("sketch_stats", None)
+    fields.pop("sketch_dispatch", None)
+    return EngineConfig(**fields)
 
 
 def _window_state(window: TimeWindow) -> Dict[str, Any]:
@@ -199,17 +213,12 @@ def _event_from_state(state: Mapping[str, Any]) -> MatchEvent:
 
 
 def _dispatch_counters(dispatch: DispatchIndex) -> Dict[str, int]:
-    # Only the counters travel: the sketch front's counting cells are
-    # rebuilt exactly by the register() calls the loader replays (same
-    # queries, same insertion order), so future false-positive patterns --
-    # and therefore the restored counter stream -- stay byte-identical.
+    # Only the counters travel: the routing table is rebuilt exactly by the
+    # register() calls the loader replays (same queries, same order).
     return {
         "lookups": dispatch.lookups,
         "entries_matched": dispatch.entries_matched,
         "entries_skipped": dispatch.entries_skipped,
-        "front_probes": dispatch.front_probes,
-        "front_rejections": dispatch.front_rejections,
-        "front_false_positives": dispatch.front_false_positives,
     }
 
 
@@ -280,6 +289,8 @@ def load_engine_sections(sections: Mapping[str, Any]) -> StreamWorksEngine:
         config = _config_from_state(sections["config"])
         engine = StreamWorksEngine(config=config)
         engine.graph = DynamicGraph.from_state(sections["graph"])
+        if sections["summarizer"] is not None:
+            _reject_sketch_stats(sections["summarizer"], "summarizer state")
         engine.summarizer = (
             StreamSummarizer.from_state(sections["summarizer"])
             if sections["summarizer"] is not None
@@ -354,13 +365,8 @@ def load_engine_sections(sections: Mapping[str, Any]) -> StreamWorksEngine:
         engine.dispatch.lookups = dispatch_counters["lookups"]
         engine.dispatch.entries_matched = dispatch_counters["entries_matched"]
         engine.dispatch.entries_skipped = dispatch_counters["entries_skipped"]
-        # pre-sketch snapshots carry no front counters: the front started
-        # from zero there too (sketch_dispatch defaulted off)
-        engine.dispatch.front_probes = dispatch_counters.get("front_probes", 0)
-        engine.dispatch.front_rejections = dispatch_counters.get("front_rejections", 0)
-        engine.dispatch.front_false_positives = dispatch_counters.get(
-            "front_false_positives", 0
-        )
+        # older snapshots also carry the removed Bloom front's counters,
+        # which are ignored
         # pre-replan snapshots: keep the fresh monitor / constructor cadence
         if "plan_monitor" in counters:
             engine.plan_monitor = PlanMonitor.from_state(counters["plan_monitor"])

@@ -1,18 +1,14 @@
-"""Bounded duplicate-suppression memory: sketch front + exact confirm store.
+"""Bounded duplicate-suppression memory: exact store plus eviction heap.
 
 :class:`~repro.core.matcher.ContinuousQueryMatcher` must suppress a match it
 has already reported, but remembering every identity forever is an
 unbounded-memory liability under adversarial high-cardinality streams.
-:class:`DedupMemory` replaces the matcher's grow-only sets with three layers:
+:class:`DedupMemory` replaces the matcher's grow-only sets with
 
-1. a :class:`~repro.sketch.cuckoo.CuckooFilter` front that answers the
-   common "never seen" case from two bucket probes,
-2. an exact confirm store (``key -> (expiry anchor, insertion seq)``) that
-   every sketch positive is checked against -- a front false positive can
-   therefore never suppress a real emission, and a front miss is impossible
-   by construction (no false negatives), so behaviour is byte-identical to
-   the unbounded exact sets, and
-3. deterministic eviction: horizon expiry drops entries whose earliest edge
+1. an exact store (``key -> (expiry anchor, insertion seq)``) that answers
+   every membership probe with one dict lookup, so suppression is
+   byte-identical to the unbounded exact sets, and
+2. deterministic eviction: horizon expiry drops entries whose earliest edge
    has left the graph retention window (the only mechanisms that can
    re-surface an old identity -- same-trigger re-discovery and replan
    migration replay -- both operate on retained edges only, so an entry
@@ -32,7 +28,6 @@ import heapq
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..graph.window import TimeWindow
-from .cuckoo import CuckooFilter
 
 __all__ = ["DedupMemory"]
 
@@ -43,61 +38,39 @@ _LEGACY_ANCHOR = float("inf")
 
 
 class DedupMemory:
-    """Bounded exact membership memory fronted by a cuckoo filter.
+    """Bounded exact membership memory with deterministic eviction.
 
     Parameters
     ----------
     budget:
-        Maximum number of entries in the exact confirm store; ``None`` means
-        unbounded (time-horizon expiry still applies).  When the budget is at
-        least the number of identities alive inside the retention horizon,
+        Maximum number of entries in the store; ``None`` means unbounded
+        (time-horizon expiry still applies).  When the budget is at least
+        the number of identities alive inside the retention horizon,
         suppression is exact; the adversarial-memory tests measure the bound.
-    front_buckets / front_fingerprint_bits:
-        Cuckoo front geometry.  Degenerate settings (2 buckets, 2-bit
-        fingerprints) force false-positive storms without ever changing
-        observable behaviour -- the differential suite relies on that.
-    seed:
-        Hash seed for the front.
     """
 
     __slots__ = (
         "_budget",
-        "_front",
         "_entries",
         "_heap",
         "_seq",
         "probes",
-        "front_negatives",
-        "front_false_positives",
         "confirms",
         "evictions_budget",
         "evictions_horizon",
         "peak_entries",
     )
 
-    def __init__(
-        self,
-        budget: Optional[int] = None,
-        front_buckets: int = 512,
-        front_fingerprint_bits: int = 16,
-        seed: int = 29,
-    ):
+    def __init__(self, budget: Optional[int] = None):
         if budget is not None and budget < 1:
             raise ValueError("DedupMemory budget must be a positive integer or None")
         self._budget = budget
-        self._front = CuckooFilter(
-            buckets=front_buckets,
-            fingerprint_bits=front_fingerprint_bits,
-            seed=seed,
-        )
         # Insertion-ordered: key -> (expiry anchor, insertion seq).
         self._entries: Dict[str, Tuple[float, int]] = {}
         # Min-heap of (anchor, seq, key); seq is unique so keys never compare.
         self._heap: List[Tuple[float, int, str]] = []  # repro-lint: ignore[snapshot-coverage]
         self._seq = 0
         self.probes = 0
-        self.front_negatives = 0
-        self.front_false_positives = 0
         self.confirms = 0
         self.evictions_budget = 0
         self.evictions_horizon = 0
@@ -107,20 +80,11 @@ class DedupMemory:
     # Membership
     # ------------------------------------------------------------------
     def seen(self, key: str) -> bool:
-        """Return ``True`` when ``key`` is in the confirm store.
-
-        The cuckoo front screens first; a front *maybe* is always confirmed
-        against the exact store, so a false positive costs one dict probe
-        and can never cause a false suppression.
-        """
+        """Return ``True`` when ``key`` is in the store."""
         self.probes += 1
-        if not self._front.might_contain(key.encode("utf-8")):
-            self.front_negatives += 1
-            return False
         if key in self._entries:
             self.confirms += 1
             return True
-        self.front_false_positives += 1
         return False
 
     def add(self, key: str, anchor: float) -> None:
@@ -131,7 +95,6 @@ class DedupMemory:
         """
         if key in self._entries:
             return
-        self._front.add(key.encode("utf-8"))
         seq = self._seq
         self._seq += 1
         self._entries[key] = (anchor, seq)
@@ -149,7 +112,6 @@ class DedupMemory:
             live = self._entries.get(key)
             if live is not None and live[1] == seq:
                 del self._entries[key]
-                self._front.remove(key.encode("utf-8"))
                 self.evictions_budget += 1
                 return
 
@@ -170,7 +132,6 @@ class DedupMemory:
             live = self._entries.get(key)
             if live is not None and live[1] == seq:
                 del self._entries[key]
-                self._front.remove(key.encode("utf-8"))
                 self.evictions_horizon += 1
                 dropped += 1
         return dropped
@@ -179,7 +140,7 @@ class DedupMemory:
     # Introspection
     # ------------------------------------------------------------------
     def entry_count(self) -> int:
-        """Number of keys currently in the exact confirm store (measured)."""
+        """Number of keys currently in the store (measured)."""
         return len(self._entries)
 
     @property
@@ -200,8 +161,6 @@ class DedupMemory:
             "entries": len(self._entries),
             "peak_entries": self.peak_entries,
             "probes": self.probes,
-            "front_negatives": self.front_negatives,
-            "front_false_positives": self.front_false_positives,
             "confirms": self.confirms,
             "evictions_budget": self.evictions_budget,
             "evictions_horizon": self.evictions_horizon,
@@ -209,13 +168,10 @@ class DedupMemory:
 
     def clear(self) -> None:
         """Forget everything (counters included)."""
-        self._front.clear()
         self._entries = {}
         self._heap = []
         self._seq = 0
         self.probes = 0
-        self.front_negatives = 0
-        self.front_false_positives = 0
         self.confirms = 0
         self.evictions_budget = 0
         self.evictions_horizon = 0
@@ -225,17 +181,14 @@ class DedupMemory:
     # Persistence
     # ------------------------------------------------------------------
     def state_dict(self) -> Dict[str, Any]:
-        """Serialise entries (insertion order), front state, and counters."""
+        """Serialise entries (insertion order) and counters."""
         return {
             "budget": self._budget,
             "entries": [
                 [key, anchor, seq] for key, (anchor, seq) in self._entries.items()
             ],
             "seq": self._seq,
-            "front": self._front.state_dict(),
             "probes": self.probes,
-            "front_negatives": self.front_negatives,
-            "front_false_positives": self.front_false_positives,
             "confirms": self.confirms,
             "evictions_budget": self.evictions_budget,
             "evictions_horizon": self.evictions_horizon,
@@ -243,7 +196,12 @@ class DedupMemory:
         }
 
     def load_state(self, state: Dict[str, Any]) -> None:
-        """Restore from :meth:`state_dict`; eviction order replays exactly."""
+        """Restore from :meth:`state_dict`; eviction order replays exactly.
+
+        Snapshots written while a cuckoo filter fronted the store also carry
+        the filter's cells and counters.  The filter only ever screened this
+        exact store, so those keys are ignored.
+        """
         budget = state["budget"]
         self._budget = None if budget is None else int(budget)
         self._entries = {
@@ -252,10 +210,7 @@ class DedupMemory:
         self._heap = [(anchor, seq, key) for key, (anchor, seq) in self._entries.items()]
         heapq.heapify(self._heap)
         self._seq = int(state["seq"])
-        self._front = CuckooFilter.from_state(state["front"])
         self.probes = int(state["probes"])
-        self.front_negatives = int(state["front_negatives"])
-        self.front_false_positives = int(state["front_false_positives"])
         self.confirms = int(state["confirms"])
         self.evictions_budget = int(state["evictions_budget"])
         self.evictions_horizon = int(state["evictions_horizon"])

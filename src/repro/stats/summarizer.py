@@ -120,12 +120,6 @@ class StreamSummarizer:
     after each edge is ingested (so endpoint labels can be resolved), and
     ``retract(graph, edge)`` when the window evicts an edge.  Triad counting
     can be disabled or sampled to bound the per-edge cost.
-
-    With ``sketch_stats=True`` the label/signature counters are count-min
-    backed (:mod:`repro.stats.sketches`): memory stays fixed at high label
-    cardinality and the planner reads one-sided estimates instead of exact
-    counts.  The two backends expose the same interface, so
-    :class:`GraphSummary` and the selectivity estimator are agnostic.
     """
 
     def __init__(
@@ -133,19 +127,10 @@ class StreamSummarizer:
         track_triads: bool = True,
         triad_sample_cap: Optional[int] = 32,
         seed: int = 7,
-        sketch_stats: bool = False,
     ):
-        self.sketch_stats = sketch_stats
-        if sketch_stats:
-            from .sketches import SketchLabelDistribution, SketchSignatureDistribution
-
-            self.vertex_labels = SketchLabelDistribution(seed=seed + 94)
-            self.edge_labels = SketchLabelDistribution(seed=seed + 190)
-            self.signatures = SketchSignatureDistribution(seed=seed + 96)
-        else:
-            self.vertex_labels = LabelDistribution()
-            self.edge_labels = LabelDistribution()
-            self.signatures = SignatureDistribution()
+        self.vertex_labels = LabelDistribution()
+        self.edge_labels = LabelDistribution()
+        self.signatures = SignatureDistribution()
         self.degree_tracker = StreamingDegreeTracker()
         self.track_triads = track_triads
         self.triads = TriadCensus(sample_cap=triad_sample_cap, seed=seed)
@@ -208,7 +193,6 @@ class StreamSummarizer:
         """Serialise the full summarizer (distributions, trackers, census)."""
         return {
             "track_triads": self.track_triads,
-            "sketch_stats": self.sketch_stats,
             "vertex_labels": self.vertex_labels.state_dict(),
             "edge_labels": self.edge_labels.state_dict(),
             "signatures": self.signatures.state_dict(),
@@ -222,25 +206,14 @@ class StreamSummarizer:
     def from_state(cls, state: Dict[str, object]) -> "StreamSummarizer":
         """Rebuild a summarizer from :meth:`state_dict` output.
 
-        Pre-sketch snapshots carry no ``sketch_stats`` flag and load as the
-        exact backend they were written with.
+        Older snapshots also carry the flag of the removed count-min
+        backend; the snapshot loader rejects it when set, and an unset flag
+        is ignored here.
         """
-        from .degree import StreamingDegreeTracker
-        from .labels import LabelDistribution, SignatureDistribution
-        from .triads import TriadCensus
-
-        sketch_stats = bool(state.get("sketch_stats", False))
-        summarizer = cls(track_triads=state["track_triads"], sketch_stats=sketch_stats)
-        if sketch_stats:
-            from .sketches import SketchLabelDistribution, SketchSignatureDistribution
-
-            summarizer.vertex_labels = SketchLabelDistribution.from_state(state["vertex_labels"])
-            summarizer.edge_labels = SketchLabelDistribution.from_state(state["edge_labels"])
-            summarizer.signatures = SketchSignatureDistribution.from_state(state["signatures"])
-        else:
-            summarizer.vertex_labels = LabelDistribution.from_state(state["vertex_labels"])
-            summarizer.edge_labels = LabelDistribution.from_state(state["edge_labels"])
-            summarizer.signatures = SignatureDistribution.from_state(state["signatures"])
+        summarizer = cls(track_triads=state["track_triads"])
+        summarizer.vertex_labels = LabelDistribution.from_state(state["vertex_labels"])
+        summarizer.edge_labels = LabelDistribution.from_state(state["edge_labels"])
+        summarizer.signatures = SignatureDistribution.from_state(state["signatures"])
         summarizer.degree_tracker = StreamingDegreeTracker.from_state(state["degree_tracker"])
         summarizer.triads = TriadCensus.from_state(state["triads"])
         summarizer._known_vertices = set(state["known_vertices"])

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import heapq
 import json
+import math
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence
 
 from ..graph.types import Edge, Timestamp, VertexId
@@ -28,6 +29,8 @@ class StreamEdge:
     (:class:`~repro.streaming.sources.MultiSourceReorderBuffer`) tracks one
     watermark per ``source_id`` so independently-skewed collector clocks do
     not push each other's records past the lateness horizon.
+
+    ``timestamp`` must be finite: NaN or infinite values raise ``ValueError``.
     """
 
     __slots__ = (
@@ -60,6 +63,10 @@ class StreamEdge:
         self.target = target
         self.label = label
         self.timestamp = float(timestamp)
+        if not math.isfinite(self.timestamp):
+            # NaN compares false with everything and inf pins the stream
+            # clock for good; either would silently diverge the ingest paths
+            raise ValueError(f"StreamEdge timestamp must be finite, got {timestamp!r}")
         self.attrs = dict(attrs or {})
         self.source_label = source_label
         self.target_label = target_label

@@ -43,8 +43,7 @@ def high_cardinality_flood(
     The attacker's cheapest way to defeat a membership cache is cardinality:
     endless distinct edge labels blow up any per-key state the engine keeps.
     Every flood record here uses a fresh label and fresh endpoint vertices,
-    so each one is (a) a guaranteed dispatch-index miss -- the workload the
-    Bloom front must answer from its counting cells -- and (b) a distinct
+    so each one is (a) a guaranteed dispatch-index miss and (b) a distinct
     key in any per-label statistics structure.
 
     ``signal_every`` interleaves one matchable record (fixed ``signal``

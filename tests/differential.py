@@ -60,7 +60,7 @@ def build_engine(
     columnar,
     shard_count=1,
     workers=0,
-    sketch=False,
+    dedup_memory_budget=None,
     replan=False,
 ):
     """Build a registered engine for one cell of the config matrix.
@@ -71,9 +71,7 @@ def build_engine(
     """
     engine_config = EngineConfig(
         columnar=columnar,
-        sketch_dispatch=sketch,
-        dedup_memory_budget=4096 if sketch else None,
-        sketch_stats=sketch,
+        dedup_memory_budget=dedup_memory_budget,
         replan_threshold=0.4 if replan else None,
         replan_check_every=BATCH if replan else None,
     )

@@ -4,7 +4,7 @@ The compiled columnar path (``EngineConfig(columnar=True)``, the default)
 must be a pure execution strategy: every event -- query name, portable
 match identity, detection timestamp, sequence number -- byte-identical to
 the interpreted per-record path (``columnar=False``), across workloads,
-shard counts, schedulers, feature switches (sketch dispatch, adaptive
+shard counts, schedulers, feature switches (bounded dedup memory, adaptive
 replanning), and crash-at-boundary resume cuts.  The harness lives in
 ``tests/differential.py``; the meta-tests at the bottom prove the oracle
 actually *catches* the bug classes this suite exists to prevent.
@@ -40,7 +40,7 @@ SUPPRESS = [HealthCheck.too_slow]
 #: The feature axis crossed with every workload and shard count.
 FEATURES = {
     "baseline": {},
-    "sketch": {"sketch": True},
+    "dedup_budget": {"dedup_memory_budget": 4096},
     "replan": {"replan": True},
 }
 
@@ -88,6 +88,24 @@ def test_columnar_dispatch_counters_identical_to_interpreted():
     assert on_metrics["columnar"]["batches_vectorized"] > 0
     assert on_metrics["columnar"]["dispatch_memo_hits"] > 0
     assert off_metrics["columnar"]["batches_vectorized"] == 0
+
+
+def test_memoised_label_reject_replays_its_lookup():
+    """A label no query binds is rejected once per run, then replayed from
+    the memo with the one ``lookups`` tick the interpreted path counts."""
+    labels = ("rel_a", "rel_b", "unbound")
+    records = [
+        StreamEdge(f"h{index % 5}", f"h{(index + 1) % 5}", labels[index % 3], index * 0.01)
+        for index in range(150)
+    ]
+
+    def query_specs():
+        return [("ab", chain_query("ab", ["rel_a", "rel_b"]), 0.5)]
+
+    _, on_metrics = run(records, query_specs, columnar=True)
+    _, off_metrics = run(records, query_specs, columnar=False)
+    assert on_metrics["columnar"]["records_prefiltered"] == 50
+    assert on_metrics["dispatch"] == off_metrics["dispatch"]
 
 
 @pytest.mark.parametrize("workload", ["rmat", "netflow", "disordered"])

@@ -94,6 +94,39 @@ class TestDispatchIndex:
         assert index.candidates("a_lbl") == [("q", [0])]
         assert index.candidates("b_lbl") == [("q", [0])]
 
+    def test_front_rejects_is_the_exact_label_check(self):
+        index = DispatchIndex()
+        index.register("q", [single_edge_leaf(0, "x")])
+        index.register("tmp", [single_edge_leaf(0, "zzz")])
+        assert not index.front_rejects("x")
+        assert not index.front_rejects("zzz")
+        assert index.lookups == 0  # a pass leaves the tick to candidates()
+        assert index.front_rejects("unbound")
+        # a reject ticks exactly what the candidates() call it replaces would
+        reference = DispatchIndex()
+        reference.register("q", [single_edge_leaf(0, "x")])
+        assert reference.candidates("unbound") == []
+        assert index.lookups == reference.lookups == 1
+        index.unregister("tmp")
+        assert index.front_rejects("zzz")
+        # a wildcard leaf binds every label, so nothing is rejected
+        index.register("any", [single_edge_leaf(0, None)])
+        assert not index.front_rejects("unbound")
+
+    def test_front_rejects_follows_owner_churn(self):
+        index = DispatchIndex()
+        index.register("q1", [single_edge_leaf(0, "shared")])
+        index.register("q2", [single_edge_leaf(0, "shared")])
+        index.unregister("q1")
+        assert not index.front_rejects("shared")  # q2 still binds it
+        index.unregister("q2")
+        assert index.front_rejects("shared")
+        index.register("any", [single_edge_leaf(0, None)])
+        assert not index.front_rejects("shared")
+        index.unregister("any")
+        assert index.front_rejects("shared")
+        assert index.lookups == 2
+
 
 def rmat_records(count, seed=29):
     generator = RmatGenerator(RmatConfig(seed=seed, scale=6))

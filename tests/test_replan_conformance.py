@@ -129,22 +129,18 @@ def static_config(use_dispatch_index=True):
 
 
 def adaptive_config(
-    use_dispatch_index=True, threshold=THRESHOLD, check_every=CHECK_EVERY, sketch=False
+    use_dispatch_index=True,
+    threshold=THRESHOLD,
+    check_every=CHECK_EVERY,
+    dedup_memory_budget=None,
 ):
-    # sketch=True turns on every sketch switch at once: the Bloom-fronted
-    # dispatch, the bounded dedup memory, and count-min planner statistics.
-    # The latter changes what the replan loop *reads* (one-sided estimates),
-    # so replanning under sketches is exactly the interaction this axis pins.
-    sketch_kwargs = (
-        {"sketch_dispatch": True, "dedup_memory_budget": 4096, "sketch_stats": True}
-        if sketch
-        else {}
-    )
+    # a dedup budget makes replan migration replay probe the bounded
+    # stores the old matcher handed over, the interaction that axis pins
     return EngineConfig(
         use_dispatch_index=use_dispatch_index,
         replan_threshold=threshold,
         replan_check_every=check_every,
-        **sketch_kwargs,
+        dedup_memory_budget=dedup_memory_budget,
     )
 
 
@@ -279,13 +275,13 @@ def test_worker_pool_scheduler_conformance(case):
 
 
 # ----------------------------------------------------------------------
-# sketch axis: adaptive replanning with every sketch switch on must still
-# match the sketch-off, never-replanned oracle byte for byte
+# dedup-budget axis: adaptive replanning with a bounded dedup memory must
+# still match the unbounded, never-replanned oracle byte for byte
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("case", sorted(CASES))
 @pytest.mark.parametrize("shard_count", (1, 2, 4))
-class TestSketchReplanConformance:
-    def test_serial_scheduler_sketch_conformance(self, case, shard_count):
+class TestDedupBudgetReplanConformance:
+    def test_serial_scheduler_dedup_budget_conformance(self, case, shard_count):
         make_records, query_specs = CASES[case]
         records = make_records()
         oracle = StreamWorksEngine(config=static_config())
@@ -294,7 +290,9 @@ class TestSketchReplanConformance:
         assert reference
 
         sharded = ShardedStreamEngine(
-            config=ShardConfig(shard_count=shard_count, engine=adaptive_config(sketch=True))
+            config=ShardConfig(
+                shard_count=shard_count, engine=adaptive_config(dedup_memory_budget=4096)
+            )
         )
         register_all(sharded, query_specs())
         events = replay_batched(sharded, records)
@@ -302,19 +300,17 @@ class TestSketchReplanConformance:
             events,
             reference,
             sharded.metrics()["replan"],
-            f"{case}/sketch/shards={shard_count}",
+            f"{case}/dedup-budget/shards={shard_count}",
         )
-        sketch = sharded.metrics()["sketch"]
-        assert sketch["stats_backend"] == "countmin"
         # the dedup memories were genuinely probed, not bypassed
-        assert sketch["dedup_memory"]["probes"] > 0
+        assert sharded.metrics()["sketch"]["dedup_memory"]["probes"] > 0
 
 
 @pytest.mark.skipif(
     not ShardedStreamEngine.fork_available(), reason="multiprocessing fork unavailable"
 )
 @pytest.mark.parametrize("case", sorted(CASES))
-def test_sketch_worker_pool_scheduler_conformance(case):
+def test_dedup_budget_worker_pool_scheduler_conformance(case):
     make_records, query_specs = CASES[case]
     records = make_records()
     oracle = StreamWorksEngine(config=static_config())
@@ -322,14 +318,17 @@ def test_sketch_worker_pool_scheduler_conformance(case):
     reference = canonical(replay_batched(oracle, records))
 
     with ShardedStreamEngine(
-        config=ShardConfig(shard_count=3, workers=2, engine=adaptive_config(sketch=True))
+        config=ShardConfig(
+            shard_count=3, workers=2, engine=adaptive_config(dedup_memory_budget=4096)
+        )
     ) as pooled:
         register_all(pooled, query_specs())
         events = replay_batched(pooled, records)
-        replan = pooled.metrics()["replan"]
-        sketch = pooled.metrics()["sketch"]
-        assert_adaptive_run_conformant(events, reference, replan, f"{case}/sketch-pooled")
-        assert sketch["dedup_memory"]["probes"] > 0
+        metrics = pooled.metrics()
+        assert_adaptive_run_conformant(
+            events, reference, metrics["replan"], f"{case}/dedup-budget-pooled"
+        )
+        assert metrics["sketch"]["dedup_memory"]["probes"] > 0
 
 
 def test_sharded_dispatch_off_conformance():

@@ -337,49 +337,48 @@ def drifting_records(count=400, seed=7, drift_at=180):
     return list(generator.stream(count))
 
 
-SKETCH_CASES = {
+DEDUP_BUDGET_CASES = {
     "rmat": (lambda: rmat_records(300), rmat_queries),
     "netflow": (lambda: netflow_records(300), netflow_queries),
     "drifting": (drifting_records, drifting_queries),
 }
 
 
-def sketch_config():
-    return EngineConfig(sketch_dispatch=True, dedup_memory_budget=4096, sketch_stats=True)
+def dedup_budget_config():
+    return EngineConfig(dedup_memory_budget=4096)
 
 
-@pytest.mark.parametrize("case", sorted(SKETCH_CASES))
-class TestSketchShardedConformance:
-    """Sketch axis: every sketch switch on vs. the sketch-off single engine.
+@pytest.mark.parametrize("case", sorted(DEDUP_BUDGET_CASES))
+class TestDedupBudgetShardedConformance:
+    """Dedup-budget axis: bounded dedup memory vs. the unbounded single engine.
 
-    The reference runs with exact statistics and no sketches; the candidate
-    runs with the Bloom-fronted dispatch, bounded dedup memory, and count-min
-    statistics all enabled -- at every shard count and under both schedulers.
-    Byte-identical events prove the sketch layer is pure acceleration.
+    The reference runs with the default unbounded dedup memory; the
+    candidate runs with ``dedup_memory_budget`` armed -- at every shard
+    count and under both schedulers.  Byte-identical events prove the
+    budget never suppresses a new match or lets a duplicate through.
     """
 
-    def test_sketch_on_identical_across_shard_counts(self, case):
-        make_records, query_specs = SKETCH_CASES[case]
+    def test_dedup_budget_identical_across_shard_counts(self, case):
+        make_records, query_specs = DEDUP_BUDGET_CASES[case]
         records = make_records()
         single = StreamWorksEngine(config=EngineConfig())
         register_all(single, query_specs())
         reference = canonical(replay_batched(single, records))
         assert reference, f"case {case} produced no events -- not exercising the engines"
 
-        sketch_single = StreamWorksEngine(config=sketch_config())
-        register_all(sketch_single, query_specs())
-        assert canonical(replay_batched(sketch_single, records)) == reference
-        sketch = sketch_single.metrics()["sketch"]
-        assert sketch["dedup_memory"]["probes"] > 0  # not vacuously bypassed
-        assert sketch["stats_backend"] == "countmin"
+        budget_single = StreamWorksEngine(config=dedup_budget_config())
+        register_all(budget_single, query_specs())
+        assert canonical(replay_batched(budget_single, records)) == reference
+        # not vacuously bypassed
+        assert budget_single.metrics()["sketch"]["dedup_memory"]["probes"] > 0
 
         for shard_count in SHARD_COUNTS:
             sharded = ShardedStreamEngine(
-                config=ShardConfig(shard_count=shard_count, engine=sketch_config())
+                config=ShardConfig(shard_count=shard_count, engine=dedup_budget_config())
             )
             register_all(sharded, query_specs())
             assert canonical(replay_batched(sharded, records)) == reference, (
-                f"case {case}: {shard_count}-shard sketch-on run diverged"
+                f"case {case}: {shard_count}-shard bounded-dedup run diverged"
             )
             assert sharded.match_counts() == single.match_counts()
             assert sharded.metrics()["sketch"]["dedup_memory"]["probes"] > 0
@@ -387,15 +386,15 @@ class TestSketchShardedConformance:
     @pytest.mark.skipif(
         not ShardedStreamEngine.fork_available(), reason="multiprocessing fork unavailable"
     )
-    def test_sketch_on_identical_under_worker_pool(self, case):
-        make_records, query_specs = SKETCH_CASES[case]
+    def test_dedup_budget_identical_under_worker_pool(self, case):
+        make_records, query_specs = DEDUP_BUDGET_CASES[case]
         records = make_records()
         single = StreamWorksEngine(config=EngineConfig())
         register_all(single, query_specs())
         reference = canonical(replay_batched(single, records))
 
         with ShardedStreamEngine(
-            config=ShardConfig(shard_count=3, workers=2, engine=sketch_config())
+            config=ShardConfig(shard_count=3, workers=2, engine=dedup_budget_config())
         ) as pooled:
             register_all(pooled, query_specs())
             assert canonical(replay_batched(pooled, records)) == reference

@@ -1,29 +1,31 @@
-"""Sketch-exactness differential suite: sketches accelerate, never change answers.
+"""Bounded dedup memory: exact suppression, bounded memory, exact resume.
 
-The sketch layer (``repro.sketch``) fronts three hot membership paths: a
-counting-Bloom front on the dispatch index, a cuckoo-fronted bounded
-duplicate-suppression memory in every matcher, and count-min planner
-statistics.  Its contract is absolute: with every sketch switch on -- at any
-filter geometry, including degenerate 8-bit filters built to force
-false-positive storms -- the emitted event stream is byte-for-byte the
-exact-path stream.  This suite pins that contract:
+Every matcher keeps its reported-match identities in a
+:class:`~repro.sketch.dedup.DedupMemory`: an exact ``key -> (anchor, seq)``
+store with deterministic horizon and budget eviction.  This suite pins:
 
-* **Structure properties** (hypothesis) -- each sketch never false-negatives,
-  supports deletion, and round-trips ``state_dict``/``from_state``
-  cell-for-cell; :class:`DedupMemory` agrees with a plain-set oracle at any
-  front geometry.
-* **Engine differential** (hypothesis) -- random streams × degenerate sketch
-  sizes ⇒ sketch-on events equal the sketch-off oracle exactly, while the
-  false-positive counters prove the storms actually happened.
-* **Checkpoint property** (hypothesis) -- checkpoint mid-stream with sketches
-  on, resume, finish ⇒ byte-identical to the uninterrupted run, sketch
+* **Structure properties** (hypothesis) -- :class:`DedupMemory` agrees with a
+  plain-set oracle, round-trips ``state_dict``/``load_state`` mid-sequence,
+  and evicts in a fixed (anchor, seq) order.
+* **Bounded memory under attack** -- 1M+ distinct keys: the store's measured
+  entry count never exceeds the budget while in-horizon suppression recall
+  stays 100%; an engine flood stays within ``dedup_memory_budget`` and emits
+  the unbounded engine's events exactly.
+* **Engine differential** (hypothesis) -- a budgeted engine emits the
+  unbounded engine's events and dispatch counters; ``metrics()["sketch"]``
+  holds only the dedup section; a wildcard query switches the exact label
+  reject off.
+* **Checkpoint property** (hypothesis) -- checkpoint mid-stream with a
+  budget, resume, finish => byte-identical to the uninterrupted run, dedup
   counters included.
-* **Bounded memory under attack** -- 1M+ distinct keys: the dedup store's
-  measured entry count never exceeds ``dedup_memory_budget`` while
-  in-horizon suppression recall stays 100%.
-* **Mutation meta-tests** -- delete the confirm-against-exact-store step,
-  skip the counting-cell decrement on ``unregister_query``, drop a sketch
-  snapshot section: each must fail the suite (the oracle has teeth).
+* **Snapshot compatibility** -- pre-dedup-memory snapshots (bare identity
+  lists) and snapshots written while probabilistic fronts guarded the
+  dispatch index and the dedup store both resume exactly; a snapshot that
+  enables the removed count-min statistics option is refused.
+* **Mutation meta-tests** -- a snapshot missing its dedup sections or
+  counters must not load; a store that never confirms a key re-emits
+  duplicates; a label reject that skips its ``lookups`` tick breaks counter
+  parity.
 """
 
 from __future__ import annotations
@@ -36,13 +38,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import EngineConfig, StreamWorksEngine
-from repro.core.dispatch import DispatchIndex
+from repro.core import DispatchIndex, EngineConfig, StreamWorksEngine
+from repro.graph.dynamic_graph import DynamicGraph
 from repro.graph.window import TimeWindow
 from repro.persistence.state import engine_sections, load_engine_sections
-from repro.persistence.snapshot import SnapshotCorruptError
+from repro.persistence.snapshot import SnapshotCorruptError, SnapshotError
 from repro.query.query_graph import QueryGraph
-from repro.sketch import CountingBloomFilter, CountMinSketch, CuckooFilter, DedupMemory
+from repro.sketch import DedupMemory
+from repro.stats import StreamSummarizer
 from repro.streaming import StreamEdge
 from repro.workloads import high_cardinality_flood
 
@@ -63,7 +66,6 @@ def chain_query(name, labels, vertex_labels=None):
 
 
 def query_specs():
-    # no wildcard-labelled edges: a wildcard disables the dispatch front
     return [
         ("xy", chain_query("xy", ["x", "y"]), 8.0),
         ("yy", chain_query("yy", ["y", "y"]), 8.0),
@@ -102,26 +104,8 @@ def register_all(engine, query_specs):
         engine.register_query(query, name=name, window=window)
 
 
-def sketch_config(budget=4096):
-    return EngineConfig(
-        sketch_dispatch=True, dedup_memory_budget=budget, sketch_stats=True
-    )
-
-
-def degenerate_sketch_engine(budget=4096):
-    """Sketch-on engine with filters sized to guarantee false-positive storms."""
-    engine = StreamWorksEngine(config=sketch_config(budget))
-    # swap in an 8-cell Bloom front BEFORE registering (register fills it)
-    engine.dispatch = DispatchIndex(sketch=True, sketch_bits=8)
-    register_all(engine, query_specs())
-    # swap every matcher's dedup memory for 2-bucket/2-bit-fingerprint fronts
-    # (they are empty right after registration, so adoption is lossless)
-    for index, registration in enumerate(engine.queries.values()):
-        registration.matcher.adopt_dedup_memories(
-            DedupMemory(budget=4096, front_buckets=2, front_fingerprint_bits=2, seed=31 + index),
-            DedupMemory(budget=4096, front_buckets=2, front_fingerprint_bits=2, seed=67 + index),
-        )
-    return engine
+def budget_config(budget=4096):
+    return EngineConfig(dedup_memory_budget=budget)
 
 
 def run_stream(engine, records):
@@ -132,185 +116,39 @@ def run_stream(engine, records):
 
 
 # ----------------------------------------------------------------------
-# structure properties: counting Bloom filter
-# ----------------------------------------------------------------------
-class TestCountingBloomFilter:
-    @settings(max_examples=60, deadline=None)
-    @given(
-        keys=st.lists(st.binary(min_size=0, max_size=12), max_size=40),
-        bits=st.sampled_from([8, 64, 2048]),
-        seed=st.integers(min_value=0, max_value=1000),
-    )
-    def test_no_false_negatives_and_counting_removal(self, keys, bits, seed):
-        bloom = CountingBloomFilter(bits=bits, seed=seed)
-        for key in keys:
-            bloom.add(key)
-        assert all(bloom.might_contain(key) for key in keys)
-        # removing one copy of duplicated keys must keep the rest visible
-        half = keys[: len(keys) // 2]
-        for key in half:
-            bloom.remove(key)
-        for key in keys[len(keys) // 2 :]:
-            assert bloom.might_contain(key)
-        # removing every addition empties the cells entirely
-        for key in keys[len(keys) // 2 :]:
-            bloom.remove(key)
-        assert len(bloom) == 0
-        assert bloom.fill_ratio() == 0.0
-
-    @settings(max_examples=30, deadline=None)
-    @given(
-        keys=st.lists(st.binary(min_size=0, max_size=8), max_size=30),
-        seed=st.integers(min_value=0, max_value=1000),
-    )
-    def test_state_roundtrip_cell_for_cell(self, keys, seed):
-        bloom = CountingBloomFilter(bits=64, seed=seed)
-        for key in keys:
-            bloom.add(key)
-        state = bloom.state_dict()
-        clone = CountingBloomFilter.from_state(state)
-        assert clone.state_dict() == state
-        assert all(clone.might_contain(key) for key in keys)
-
-    def test_bits_rounded_to_power_of_two(self):
-        assert CountingBloomFilter(bits=1000).bits == 1024
-        with pytest.raises(ValueError):
-            CountingBloomFilter(bits=1)
-
-
-# ----------------------------------------------------------------------
-# structure properties: cuckoo filter
-# ----------------------------------------------------------------------
-class TestCuckooFilter:
-    @settings(max_examples=60, deadline=None)
-    @given(
-        keys=st.lists(st.binary(min_size=0, max_size=12), unique=True, max_size=60),
-        degenerate=st.booleans(),
-        seed=st.integers(min_value=0, max_value=1000),
-    )
-    def test_never_false_negative_even_in_storm_geometry(self, keys, degenerate, seed):
-        # 2 buckets x 2-bit fingerprints cannot hold 60 distinct keys --
-        # the overflow stash must keep membership exact regardless
-        kwargs = (
-            {"buckets": 2, "bucket_size": 2, "fingerprint_bits": 2}
-            if degenerate
-            else {"buckets": 64, "fingerprint_bits": 16}
-        )
-        cuckoo = CuckooFilter(seed=seed, **kwargs)
-        for key in keys:
-            cuckoo.add(key)
-        assert all(cuckoo.might_contain(key) for key in keys)
-        for key in keys:
-            assert cuckoo.remove(key)
-        assert len(cuckoo) == 0
-
-    @settings(max_examples=30, deadline=None)
-    @given(
-        keys=st.lists(st.binary(min_size=0, max_size=8), unique=True, max_size=40),
-        seed=st.integers(min_value=0, max_value=1000),
-    )
-    def test_state_roundtrip_preserves_slot_layout(self, keys, seed):
-        cuckoo = CuckooFilter(buckets=4, bucket_size=2, seed=seed)
-        for key in keys:
-            cuckoo.add(key)
-        state = cuckoo.state_dict()
-        clone = CuckooFilter.from_state(state)
-        # verbatim slots/stash/kick-cursor: the clone's future behaviour
-        # (false-positive pattern included) is indistinguishable
-        assert clone.state_dict() == state
-        assert all(clone.might_contain(key) for key in keys)
-
-    def test_remove_of_absent_key_is_false(self):
-        cuckoo = CuckooFilter(buckets=8)
-        cuckoo.add(b"present")
-        assert not cuckoo.remove(b"absent")
-        assert cuckoo.might_contain(b"present")
-
-
-# ----------------------------------------------------------------------
-# structure properties: count-min sketch
-# ----------------------------------------------------------------------
-class TestCountMinSketch:
-    @settings(max_examples=60, deadline=None)
-    @given(
-        keys=st.lists(st.binary(min_size=1, max_size=6), min_size=1, max_size=80),
-        width=st.sampled_from([4, 64, 1024]),
-        seed=st.integers(min_value=0, max_value=1000),
-    )
-    def test_estimates_are_one_sided(self, keys, width, seed):
-        sketch = CountMinSketch(width=width, depth=4, seed=seed)
-        exact = {}
-        for key in keys:
-            sketch.add(key)
-            exact[key] = exact.get(key, 0) + 1
-        assert sketch.total == len(keys)  # total is exact, not estimated
-        for key, count in exact.items():
-            assert sketch.estimate(key) >= count
-
-    @settings(max_examples=30, deadline=None)
-    @given(
-        keys=st.lists(st.binary(min_size=1, max_size=6), max_size=40),
-        seed=st.integers(min_value=0, max_value=1000),
-    )
-    def test_retract_and_roundtrip(self, keys, seed):
-        sketch = CountMinSketch(width=16, depth=3, seed=seed)
-        for key in keys:
-            sketch.add(key)
-        state = sketch.state_dict()
-        clone = CountMinSketch.from_state(state)
-        assert clone.state_dict() == state
-        for key in keys:
-            sketch.retract(key)
-        assert sketch.total == 0
-
-
-# ----------------------------------------------------------------------
 # structure properties: bounded dedup memory vs. a plain-set oracle
 # ----------------------------------------------------------------------
 class TestDedupMemory:
     @settings(max_examples=60, deadline=None)
-    @given(
-        ops=st.lists(st.integers(min_value=0, max_value=15), max_size=80),
-        degenerate=st.booleans(),
-        seed=st.integers(min_value=0, max_value=1000),
-    )
-    def test_matches_set_oracle_at_any_front_geometry(self, ops, degenerate, seed):
-        kwargs = (
-            {"front_buckets": 2, "front_fingerprint_bits": 2}
-            if degenerate
-            else {"front_buckets": 64}
-        )
-        memory = DedupMemory(seed=seed, **kwargs)
+    @given(ops=st.lists(st.integers(min_value=0, max_value=15), max_size=80))
+    def test_matches_set_oracle(self, ops):
+        memory = DedupMemory()
         oracle = set()
+        duplicates = 0
         for index, op in enumerate(ops):
             key = f"key{op}"
+            duplicates += key in oracle
             assert memory.seen(key) == (key in oracle)
             memory.add(key, float(index))
             oracle.add(key)
         assert memory.entry_count() == len(oracle)
         stats = memory.stats()
         assert stats["probes"] == len(ops)
-        # confirmed positives + front negatives + front FPs account for
-        # every probe: nothing bypassed the confirm step
-        assert (
-            stats["confirms"] + stats["front_negatives"] + stats["front_false_positives"]
-            == stats["probes"]
-        )
+        assert stats["confirms"] == duplicates
 
     @settings(max_examples=30, deadline=None)
     @given(
         count=st.integers(min_value=0, max_value=60),
         cut=st.integers(min_value=0, max_value=60),
-        seed=st.integers(min_value=0, max_value=1000),
     )
-    def test_state_roundtrip_mid_sequence(self, count, cut, seed):
-        memory = DedupMemory(budget=16, front_buckets=4, seed=seed)
+    def test_state_roundtrip_mid_sequence(self, count, cut):
+        memory = DedupMemory(budget=16)
         keys = [f"k{index}" for index in range(count)]
         for index, key in enumerate(keys[: min(cut, count)]):
             memory.seen(key)
             memory.add(key, float(index))
         state = memory.state_dict()
-        clone = DedupMemory(budget=16, front_buckets=4, seed=seed)
+        clone = DedupMemory(budget=16)
         clone.load_state(state)
         assert clone.state_dict() == state
         # both continue identically: same answers, same evictions
@@ -363,7 +201,7 @@ def test_adversarial_million_distinct_keys_bounded_with_full_recall():
     """
     budget = 20_000
     window = TimeWindow(1_000.0)
-    memory = DedupMemory(budget=budget, front_buckets=4096, seed=3)
+    memory = DedupMemory(budget=budget)
     total = 1_050_000
     step = 0.1  # 10_000 keys alive inside the horizon at any moment
     recall_probes = 0
@@ -395,94 +233,70 @@ def test_engine_flood_bounded_memory_and_exact_events():
     # so longer chains would never close and the test would be vacuous
     signal_query = [("sig", chain_query("sig", ["signal"]), 50.0)]
 
-    oracle = StreamWorksEngine(config=EngineConfig())  # unbounded, sketch-off
+    oracle = StreamWorksEngine(config=EngineConfig())  # unbounded
     register_all(oracle, signal_query)
     reference = canonical(run_stream(oracle, records))
     assert reference, "flood produced no signal matches -- vacuous"
 
-    engine = StreamWorksEngine(config=sketch_config(budget=1024))
+    engine = StreamWorksEngine(config=budget_config(budget=1024))
     register_all(engine, signal_query)
     assert canonical(run_stream(engine, records)) == reference
-    sketch = engine.metrics()["sketch"]
-    # the front answered the flood's unique labels before any graph access
-    flood_records = sum(1 for record in records if record.label != "signal")
-    assert sketch["dispatch_front"]["rejections"] == flood_records
-    assert sketch["dedup_memory"]["peak_entries"] <= 1024
+    dedup = engine.metrics()["sketch"]["dedup_memory"]
+    assert dedup["probes"] > 0
+    assert dedup["peak_entries"] <= 1024
 
 
 # ----------------------------------------------------------------------
-# engine differential: sketch-on == sketch-off, even under FP storms
+# engine differential: a budgeted dedup store emits the unbounded events
 # ----------------------------------------------------------------------
-@settings(max_examples=15, deadline=None)
-@given(
-    seed=st.integers(min_value=0, max_value=10_000),
-    noise_ratio=st.sampled_from([0.0, 0.3, 0.7]),
-)
-def test_degenerate_sketches_emit_exact_event_stream(seed, noise_ratio):
+@pytest.mark.parametrize("noise_ratio", [0.0, 0.3, 0.7])
+@settings(max_examples=5, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10_000))
+def test_dedup_budget_emits_exact_event_stream(noise_ratio, seed):
     records = mixed_stream(150, seed, noise_ratio)
     oracle = StreamWorksEngine(config=EngineConfig())
     register_all(oracle, query_specs())
     reference = canonical(run_stream(oracle, records))
 
-    engine = degenerate_sketch_engine()
-    assert canonical(run_stream(engine, records)) == reference
-    # the front was genuinely consulted (not silently disabled)
-    if any(record.label not in ("x", "y") for record in records):
-        assert engine.dispatch.front_probes > 0
-
-
-def test_degenerate_geometry_forces_false_positive_storms():
-    """The 8-bit/2-bit filters actually storm -- the property above is not vacuous."""
-    records = mixed_stream(400, seed=99, noise_ratio=0.5)
-    engine = degenerate_sketch_engine()
-    events = run_stream(engine, records)
-    assert events
-    # an 8-cell Bloom saturates after a handful of labels: noise labels now
-    # pass the front and get caught by the exact dict instead
-    assert engine.dispatch.front_false_positives > 0
-    dedup_fps = sum(
-        memory.front_false_positives
-        for registration in engine.queries.values()
-        for memory in registration.matcher.dedup_memories()
-    )
-    assert dedup_fps > 0, "2-bucket cuckoo fronts never false-positived"
-
-
-def test_default_geometry_sketch_on_equals_off_with_metrics_shape():
-    records = mixed_stream(300, seed=5, noise_ratio=0.5)
-    oracle = StreamWorksEngine(config=EngineConfig())
-    register_all(oracle, query_specs())
-    reference = canonical(run_stream(oracle, records))
-
-    engine = StreamWorksEngine(config=sketch_config())
+    engine = StreamWorksEngine(config=budget_config())
     register_all(engine, query_specs())
     assert canonical(run_stream(engine, records)) == reference
+    assert engine.metrics()["dispatch"] == oracle.metrics()["dispatch"]
+
+
+def test_metrics_sketch_section_holds_only_dedup_memory():
+    records = mixed_stream(300, seed=5, noise_ratio=0.5)
+    engine = StreamWorksEngine(config=budget_config())
+    register_all(engine, query_specs())
+    events = run_stream(engine, records)
+    assert events
     sketch = engine.metrics()["sketch"]
-    assert sketch["dispatch_front"]["enabled"]
-    assert sketch["dispatch_front"]["rejections"] > 0  # noise labels rejected
-    assert sketch["dispatch_front"]["false_positives"] == 0  # 2048 bits, 3 labels
-    assert sketch["dedup_memory"]["probes"] > 0
-    # lookups counter parity with the sketch-off engine: a front rejection
-    # ticks the same counter the dict probe would have
-    assert engine.dispatch.lookups == oracle.dispatch.lookups
+    assert list(sketch) == ["dedup_memory"]
+    dedup = sketch["dedup_memory"]
+    assert dedup["probes"] > 0
+    assert 0 < dedup["entries"] <= dedup["peak_entries"]
+    # every record ticks one dispatch lookup: a label reject counts the
+    # same tick the candidates() call it replaces would have
+    assert engine.dispatch.lookups == len(records)
 
 
 def test_wildcard_query_disables_front_but_stays_exact():
     records = mixed_stream(200, seed=12, noise_ratio=0.5)
     wildcard_specs = [("wild", chain_query("wild", [None, "x"]), 8.0)]
-    oracle = StreamWorksEngine(config=EngineConfig())
+    oracle = StreamWorksEngine(config=EngineConfig(use_dispatch_index=False))
     register_all(oracle, wildcard_specs)
     reference = canonical(run_stream(oracle, records))
+    assert reference, "wildcard query never matched -- vacuous"
 
-    engine = StreamWorksEngine(config=sketch_config())
+    engine = StreamWorksEngine(config=EngineConfig())
     register_all(engine, wildcard_specs)
     assert canonical(run_stream(engine, records)) == reference
-    # every label can bind a wildcard leaf: the front must stand down
-    assert engine.dispatch.front_rejections == 0
+    # every label can bind a wildcard leaf: the label check must stand down
+    assert not any(engine.dispatch.front_rejects(record.label) for record in records)
 
 
 # ----------------------------------------------------------------------
-# checkpoint property: resume mid-stream with sketches on is exact
+# checkpoint property: resume mid-stream with a dedup budget is exact
 # ----------------------------------------------------------------------
 @settings(max_examples=10, deadline=None)
 @given(
@@ -493,11 +307,11 @@ def test_checkpoint_mid_stream_resume_equals_uninterrupted(seed, cut):
     records = mixed_stream(200, seed, noise_ratio=0.4)
     cut = min(cut, len(records))
 
-    uninterrupted = StreamWorksEngine(config=sketch_config())
+    uninterrupted = StreamWorksEngine(config=budget_config())
     register_all(uninterrupted, query_specs())
     reference = canonical(run_stream(uninterrupted, records))
 
-    interrupted = StreamWorksEngine(config=sketch_config())
+    interrupted = StreamWorksEngine(config=budget_config())
     register_all(interrupted, query_specs())
     prefix = canonical(run_stream(interrupted, records[:cut]))
     handle, path = tempfile.mkstemp(suffix=".snap")
@@ -512,6 +326,9 @@ def test_checkpoint_mid_stream_resume_equals_uninterrupted(seed, cut):
     assert resumed.metrics()["sketch"] == uninterrupted.metrics()["sketch"]
 
 
+# ----------------------------------------------------------------------
+# snapshot compatibility
+# ----------------------------------------------------------------------
 def _legacy_sections(engine):
     """Render an engine's sections the way a pre-sketch snapshot stored them."""
     sections = engine_sections(engine)
@@ -527,8 +344,6 @@ def _legacy_sections(engine):
             ast.literal_eval(key)
             for key, _, _ in matcher_state.pop("dedup_edge_sets")["entries"]
         ]
-    for counter in ("front_probes", "front_rejections", "front_false_positives"):
-        del sections["counters"]["dispatch"][counter]
     return sections
 
 
@@ -561,77 +376,90 @@ def test_legacy_snapshot_without_sketch_sections_still_loads():
     assert prefix + suffix == reference
 
 
+def _sketch_era_sections(engine):
+    """Render an engine's sections the way the sketch-fronted engine stored them.
+
+    That format carried a cuckoo filter's state and counters in every dedup
+    store, Bloom-front counters beside the dispatch counters, and the two
+    sketch options in the config.
+    """
+    sections = engine_sections(engine)
+    sections["config"]["sketch_dispatch"] = True
+    sections["config"]["sketch_stats"] = False
+    for counter in ("front_probes", "front_rejections", "front_false_positives"):
+        sections["counters"]["dispatch"][counter] = 7
+    for payload in sections["queries"]:
+        for store in ("dedup_identities", "dedup_edge_sets"):
+            state = payload["matcher"][store]
+            state["front"] = {
+                "buckets": 512,
+                "bucket_size": 4,
+                "fingerprint_bits": 16,
+                "max_kicks": 128,
+                "seed": 31,
+                "table": [[0] * 4 for _ in range(512)],
+                "stash": [],
+                "count": len(state["entries"]),
+            }
+            state["front_negatives"] = 5
+            state["front_false_positives"] = 1
+    return sections
+
+
+def test_sketch_era_snapshot_resumes_exactly():
+    """Front state, front counters and sketch options are ignored on load."""
+    records = mixed_stream(200, seed=8, noise_ratio=0.4)
+    cut = 110
+
+    uninterrupted = StreamWorksEngine(config=budget_config())
+    register_all(uninterrupted, query_specs())
+    reference = canonical(run_stream(uninterrupted, records))
+
+    interrupted = StreamWorksEngine(config=budget_config())
+    register_all(interrupted, query_specs())
+    prefix = canonical(run_stream(interrupted, records[:cut]))
+    assert interrupted.metrics()["sketch"]["dedup_memory"]["entries"] > 0
+
+    resumed = load_engine_sections(_sketch_era_sections(interrupted))
+    suffix = canonical(run_stream(resumed, records[cut:]))
+    assert prefix + suffix == reference
+    assert resumed.metrics()["sketch"] == uninterrupted.metrics()["sketch"]
+    assert resumed.metrics()["dispatch"] == uninterrupted.metrics()["dispatch"]
+    assert engine_sections(resumed)["config"] == engine_sections(uninterrupted)["config"]
+
+
+@pytest.mark.parametrize("where", ["config", "summarizer"])
+def test_snapshot_enabling_count_min_statistics_is_refused(where):
+    engine = StreamWorksEngine(config=EngineConfig())
+    register_all(engine, query_specs())
+    run_stream(engine, mixed_stream(60, seed=2))
+    sections = _sketch_era_sections(engine)
+    sections[where]["sketch_stats"] = True
+    with pytest.raises(SnapshotError, match="sketch_stats"):
+        load_engine_sections(sections)
+
+
+def test_summarizer_state_with_unset_count_min_flag_loads():
+    summarizer = StreamSummarizer(triad_sample_cap=None)
+    graph = DynamicGraph(TimeWindow(None))
+    for record in mixed_stream(80, seed=6):
+        edge = graph.ingest(record.source, record.target, record.label, record.timestamp)
+        summarizer.observe(graph, edge)
+    assert summarizer.summary().edge_labels.count("x") > 0
+    state = summarizer.state_dict()
+    restored = StreamSummarizer.from_state({**state, "sketch_stats": False}).state_dict()
+    # known vertices are a set, serialised in iteration order
+    assert sorted(restored.pop("known_vertices")) == sorted(state.pop("known_vertices"))
+    assert restored == state
+
+
 # ----------------------------------------------------------------------
-# mutation meta-tests: the differential oracle has teeth
+# mutation meta-test: the snapshot loader has teeth
 # ----------------------------------------------------------------------
 class TestMutations:
-    def test_skipping_exact_confirm_is_caught(self, monkeypatch):
-        """Trusting the dedup front without the exact-store confirm must fail.
-
-        With degenerate 2-bucket fronts the cuckoo filter false-positives on
-        brand-new identities; a mutant that believes the front outright
-        suppresses those first-time emissions, so its event stream diverges
-        from the exact oracle.
-        """
-        records = mixed_stream(400, seed=99, noise_ratio=0.5)
-        oracle = StreamWorksEngine(config=EngineConfig())
-        register_all(oracle, query_specs())
-        reference = canonical(run_stream(oracle, records))
-
-        # sanity: unmutated degenerate engine is exact AND its fronts stormed
-        sane = degenerate_sketch_engine()
-        assert canonical(run_stream(sane, records)) == reference
-        sane_fps = sum(
-            memory.front_false_positives
-            for registration in sane.queries.values()
-            for memory in registration.matcher.dedup_memories()
-        )
-        assert sane_fps > 0, "no false positives -- the mutation test is vacuous"
-
-        def confirm_free_seen(self, key):
-            self.probes += 1
-            return self._front.might_contain(key.encode("utf-8"))
-
-        monkeypatch.setattr(DedupMemory, "seen", confirm_free_seen)
-        mutant = degenerate_sketch_engine()
-        assert canonical(run_stream(mutant, records)) != reference
-
-    def test_skipping_unregister_decrement_is_caught(self, monkeypatch):
-        """A no-op counting-cell decrement leaves stale front bits behind.
-
-        After ``unregister_query`` the correct front rejects the dead query's
-        label outright; a mutant whose ``CountingBloomFilter.remove`` does
-        nothing keeps answering *maybe*, so every such record shows up as a
-        front false positive instead of a rejection.
-        """
-
-        def run(mutate):
-            engine = StreamWorksEngine(config=sketch_config())
-            register_all(engine, query_specs())
-            engine.register_query(chain_query("tmp", ["zzz"]), name="tmp", window=8.0)
-            if mutate:
-                monkeypatch.setattr(
-                    CountingBloomFilter, "remove", lambda self, key: None
-                )
-            engine.unregister_query("tmp")
-            for index in range(50):
-                engine.process_record(
-                    StreamEdge(f"a{index}", f"b{index}", "zzz", index * 0.1)
-                )
-            monkeypatch.undo()
-            return engine.dispatch
-
-        sane = run(mutate=False)
-        assert sane.front_rejections == 50
-        assert sane.front_false_positives == 0
-
-        mutant = run(mutate=True)
-        assert mutant.front_rejections == 0
-        assert mutant.front_false_positives == 50
-
     def test_dropped_dedup_snapshot_section_is_caught(self):
         """A snapshot missing the dedup sections (and legacy lists) must not load."""
-        engine = StreamWorksEngine(config=sketch_config())
+        engine = StreamWorksEngine(config=budget_config())
         register_all(engine, query_specs())
         run_stream(engine, mixed_stream(100, seed=1))
         sections = engine_sections(engine)
@@ -643,72 +471,70 @@ class TestMutations:
         with pytest.raises(SnapshotCorruptError):
             load_engine_sections(sections)
 
-    def test_dropped_front_counters_break_counter_parity(self):
-        """Losing the dispatch-front counters makes resume observably diverge."""
-        records = mixed_stream(200, seed=4, noise_ratio=0.5)
-        engine = StreamWorksEngine(config=sketch_config())
+    def test_dropped_dedup_counters_are_caught(self):
+        """A dedup section missing its counters must not load as zeros."""
+        engine = StreamWorksEngine(config=budget_config())
         register_all(engine, query_specs())
-        run_stream(engine, records)
-        assert engine.dispatch.front_probes > 0
-
+        run_stream(engine, mixed_stream(100, seed=1))
         sections = engine_sections(engine)
-        intact = load_engine_sections(sections)
-        assert intact.metrics()["sketch"] == engine.metrics()["sketch"]
+        for payload in sections["queries"]:
+            payload["matcher"]["dedup_identities"].pop("probes")
+        with pytest.raises(SnapshotCorruptError):
+            load_engine_sections(sections)
 
-        for counter in ("front_probes", "front_rejections"):
-            sections["counters"]["dispatch"].pop(counter)
-        mutant = load_engine_sections(sections)
-        assert mutant.metrics()["sketch"] != engine.metrics()["sketch"]
+    def test_skipping_dedup_suppression_is_caught(self, monkeypatch):
+        """A store that never reports a key as seen re-emits duplicates.
+
+        A directed 2-cycle query binds every reciprocal pair twice (once per
+        rotation); structural dedup must report each edge set once.
+        """
+        records = mixed_stream(300, seed=99, noise_ratio=0.3)
+        cycle = QueryGraph("cycle")
+        cycle.add_vertex("a")
+        cycle.add_vertex("b")
+        cycle.add_edge("a", "b", "y")
+        cycle.add_edge("b", "a", "y")
+        config = EngineConfig(dedup_memory_budget=4096, dedupe_structural=True)
+
+        def run():
+            engine = StreamWorksEngine(config=config)
+            register_all(engine, [("cycle", cycle, 8.0)])
+            return canonical(run_stream(engine, records)), engine
+
+        reference, oracle = run()
+        confirms = oracle.metrics()["sketch"]["dedup_memory"]["confirms"]
+        assert confirms > 0, "no duplicate was ever suppressed -- vacuous"
+
+        def forgetful_seen(self, key):
+            self.probes += 1
+            return False
+
+        monkeypatch.setattr(DedupMemory, "seen", forgetful_seen)
+        mutant, _ = run()
+        assert len(mutant) == len(reference) + confirms
+
+    def test_reject_without_lookup_tick_breaks_counter_parity(self, monkeypatch):
+        """The label check must count a reject as the lookup it replaces."""
+        records = mixed_stream(200, seed=4, noise_ratio=0.5)
+
+        def lookups():
+            engine = StreamWorksEngine(config=EngineConfig())
+            register_all(engine, query_specs())
+            run_stream(engine, records)
+            return engine.dispatch.lookups
+
+        assert lookups() == len(records)
+
+        def silent_reject(self, edge_label):
+            return not self._wildcard and edge_label not in self._by_label
+
+        monkeypatch.setattr(DispatchIndex, "front_rejects", silent_reject)
+        assert lookups() < len(records)
 
 
-# ----------------------------------------------------------------------
-# config validation
-# ----------------------------------------------------------------------
 class TestEngineConfigValidation:
-    def test_sketch_dispatch_requires_dispatch_index(self):
-        with pytest.raises(ValueError, match="use_dispatch_index"):
-            EngineConfig(sketch_dispatch=True, use_dispatch_index=False)
-
     def test_dedup_budget_must_be_positive(self):
         with pytest.raises(ValueError, match="positive"):
             EngineConfig(dedup_memory_budget=0)
         with pytest.raises(ValueError, match="positive"):
             EngineConfig(dedup_memory_budget=-5)
-
-    def test_sketch_stats_requires_statistics(self):
-        with pytest.raises(ValueError, match="collect_statistics"):
-            EngineConfig(sketch_stats=True, collect_statistics=False)
-
-
-# ----------------------------------------------------------------------
-# sketch-backed planner statistics
-# ----------------------------------------------------------------------
-class TestSketchLabelDistribution:
-    @settings(max_examples=40, deadline=None)
-    @given(
-        labels=st.lists(st.sampled_from(["a", "b", "c", "d"]), max_size=60),
-        seed=st.integers(min_value=0, max_value=1000),
-    )
-    def test_counts_one_sided_totals_exact(self, labels, seed):
-        from repro.stats.sketches import SketchLabelDistribution
-
-        distribution = SketchLabelDistribution(width=8, seed=seed)
-        exact = {}
-        for label in labels:
-            distribution.observe(label)
-            exact[label] = exact.get(label, 0) + 1
-        assert distribution.total() == len(labels)
-        for label, count in exact.items():
-            assert distribution.count(label) >= count
-
-    def test_state_roundtrip_and_retract(self):
-        from repro.stats.sketches import SketchLabelDistribution
-
-        distribution = SketchLabelDistribution(width=64)
-        for label in ("x", "x", "y", "z"):
-            distribution.observe(label)
-        clone = SketchLabelDistribution.from_state(distribution.state_dict())
-        assert clone.state_dict() == distribution.state_dict()
-        assert clone.count("x") >= 2
-        distribution.retract("x")
-        assert distribution.total() == 3

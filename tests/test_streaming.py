@@ -23,8 +23,10 @@ from repro.streaming import (
     merge_events,
     merge_streams,
 )
+from repro.core import EngineConfig, ShardConfig, ShardedStreamEngine, StreamWorksEngine
 from repro.isomorphism import Match
 from repro.graph.types import Edge
+from repro.query.query_graph import QueryGraph
 
 
 def record(source, target, label, timestamp):
@@ -312,3 +314,81 @@ class TestMetrics:
     def test_throughput_meter_zero_elapsed(self):
         meter = ThroughputMeter()
         assert meter.rate() == 0.0
+
+
+# ----------------------------------------------------------------------
+# non-finite timestamps are rejected at the stream boundary
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+def test_non_finite_timestamp_rejected_before_any_engine(bad):
+    """NaN/inf records never reach an engine, so every ingest path agrees.
+
+    A NaN once vanished from per-record ingest without a counter, and an
+    ``inf`` pinned the stream clock for good; the per-record and batched
+    engines then emitted different events.  Rejecting at ``StreamEdge``
+    leaves the finite records, which every engine treats identically.
+    """
+    with pytest.raises(ValueError, match="finite"):
+        StreamEdge("a", "b", "x", bad)
+    with pytest.raises(ValueError, match="finite"):
+        StreamEdge.from_dict({"source": "a", "target": "b", "label": "x", "timestamp": bad})
+
+    # a chain v0 -> v1 -> ... with a non-finite copy of two of its links
+    rows = [
+        ("v0", "v1", 1),
+        ("v1", "v2", bad),
+        ("v1", "v2", 2),
+        ("v2", "v3", bad),
+        ("v2", "v3", 3),
+        ("v3", "v4", 4),
+    ]
+    records = []
+    for source, target, timestamp in rows:
+        try:
+            records.append(StreamEdge(source, target, "x", timestamp))
+        except ValueError:
+            pass
+    assert [edge.timestamp for edge in records] == [1.0, 2.0, 3.0, 4.0]
+
+    def chain():
+        query = QueryGraph("chain")
+        for vertex in ("a", "b", "c"):
+            query.add_vertex(vertex)
+        query.add_edge("a", "b", "x")
+        query.add_edge("b", "c", "x")
+        return query
+
+    def canonical(events):
+        return [(e.query_name, e.match.portable_identity(), e.sequence) for e in events]
+
+    single = StreamWorksEngine(5)
+    single.register_query(chain())
+    per_record = [event for edge in records for event in single.process_record(edge)]
+    batched_engine = StreamWorksEngine(5)
+    batched_engine.register_query(chain())
+    batched = batched_engine.process_batch(records)
+    sharded_engine = ShardedStreamEngine(
+        config=ShardConfig(shard_count=2, engine=EngineConfig(default_window=5))
+    )
+    sharded_engine.register_query(chain())
+    sharded = sharded_engine.process_batch(records)
+
+    assert len(per_record) == 3
+    assert canonical(per_record) == canonical(batched) == canonical(sharded)
+    assert single.graph.current_time == batched_engine.graph.current_time == 4.0
+
+
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+def test_jsonl_stream_with_non_finite_timestamp_fails_to_load(token, tmp_path):
+    """``json`` parses these tokens to floats, so a file can carry them."""
+    path = tmp_path / "edges.jsonl"
+    path.write_text(
+        '{"source": "a", "target": "b", "label": "x", "timestamp": 1.0}\n'
+        f'{{"source": "b", "target": "c", "label": "x", "timestamp": {token}}}\n',
+        encoding="utf-8",
+    )
+    with pytest.raises(ValueError, match="finite"):
+        EdgeStream.from_jsonl(str(path))
+    # the textual spelling is refused the same way
+    with pytest.raises(ValueError, match="finite"):
+        StreamEdge("a", "b", "x", token)
